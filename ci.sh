@@ -2,7 +2,7 @@
 # Repo CI gate, split into stages so the workflow can run them as a
 # job matrix:
 #
-#   ./ci.sh lint    # fmt, clippy, rustdoc — all warnings denied
+#   ./ci.sh lint    # fmt, clippy, rustdoc (warnings denied), perfbench check
 #   ./ci.sh test    # release build + full test suite
 #   ./ci.sh gate    # smokes, golden regression, bench + server gates
 #   ./ci.sh portable # RUSTFLAGS-cleared build, scalar-dispatch agreement
@@ -63,6 +63,13 @@ lint_stage() {
 
   echo "==> cargo doc (warnings denied)"
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
+  # The benchmark package has its own workspace and builds against the
+  # library's public API; checking it here catches an API break before
+  # the benchmark runs. Its artifacts go to target/ like everything else.
+  echo "==> cargo check perfbench (benchmark builds against the library)"
+  CARGO_TARGET_DIR=target cargo check --offline --locked -q \
+    --manifest-path perfbench/Cargo.toml
 }
 
 test_stage() {

@@ -28,32 +28,29 @@ pub enum McEngine {
     /// experiments.
     Auto,
     /// Streams the whole population through `lanes` structure-of-arrays
-    /// SIMD lanes in one transient per run, with mid-transient lane
-    /// refill and cohort scheduling (see
-    /// `rotsv_spice::transient_queue`). Per-die results are
+    /// SIMD lanes in one lane-engine session per run, with mid-transient
+    /// lane refill and cohort scheduling (see
+    /// `rotsv_spice::transient_stream`). Per-die results are
     /// bit-identical to [`McEngine::BatchedChunked`] and agree with the
     /// scalar engine to well under 0.5 % per ΔT.
     Batched {
         /// SIMD lanes the queue streams through (K).
         lanes: usize,
     },
-    /// Fixed batches of up to `lanes` dies per transient in sample
-    /// order, with no refill between batches — the v1 scheduling, kept
-    /// as the cross-check for the refill path (its results must be
-    /// bit-identical to [`McEngine::Batched`] at any lane count).
+    /// Fixed-slice scheduling over the same lane-engine entry: slices
+    /// of up to `lanes` dies in sample order, each run as its own
+    /// session with one lane per die, so nothing refills between
+    /// slices. Kept as the cross-check for the refill path (its results
+    /// must be bit-identical to [`McEngine::Batched`] at any lane
+    /// count).
     BatchedChunked {
         /// Dies simulated per batch (K).
         lanes: usize,
     },
 }
 
-/// High bit of [`ENGINE_LANES`] marks the chunked (no-refill) variant.
-const CHUNKED_FLAG: usize = 1 << (usize::BITS - 1);
-
-/// Process-wide engine selection; 0 encodes [`McEngine::Scalar`],
-/// `usize::MAX` encodes [`McEngine::Auto`], and otherwise the batched
-/// lane count, with [`CHUNKED_FLAG`] set for the chunked variant.
-static ENGINE_LANES: AtomicUsize = AtomicUsize::new(0);
+/// Process-wide engine selection ([`set_mc_engine`]).
+static MC_ENGINE: Mutex<McEngine> = Mutex::new(McEngine::Scalar);
 
 /// Population size (in samples) at which [`McEngine::Auto`] switches
 /// from scalar to batched. The conservative default of 2 reflects that
@@ -183,34 +180,22 @@ pub fn load_measured_tuning(path: &std::path::Path) -> bool {
 /// campaigns and golden checks always measure per-sample on the scalar
 /// engine and ignore this setting.
 ///
+/// Any nonzero lane count is valid; populations cap the lanes they
+/// use at their own size.
+///
 /// # Panics
 ///
-/// Panics on a zero or flag-colliding lane count.
+/// Panics on a zero lane count.
 pub fn set_mc_engine(engine: McEngine) {
-    let check = |lanes: usize| {
+    if let McEngine::Batched { lanes } | McEngine::BatchedChunked { lanes } = engine {
         assert!(lanes >= 1, "a batch needs at least one lane");
-        assert!(lanes < CHUNKED_FLAG, "lane count out of range");
-        lanes
-    };
-    let encoded = match engine {
-        McEngine::Scalar => 0,
-        McEngine::Auto => usize::MAX,
-        McEngine::Batched { lanes } => check(lanes),
-        McEngine::BatchedChunked { lanes } => check(lanes) | CHUNKED_FLAG,
-    };
-    ENGINE_LANES.store(encoded, Ordering::Relaxed);
+    }
+    *MC_ENGINE.lock().expect("engine lock") = engine;
 }
 
 /// The engine [`delta_t_population`] currently uses.
 pub fn mc_engine() -> McEngine {
-    match ENGINE_LANES.load(Ordering::Relaxed) {
-        0 => McEngine::Scalar,
-        usize::MAX => McEngine::Auto,
-        v if v & CHUNKED_FLAG != 0 => McEngine::BatchedChunked {
-            lanes: v & !CHUNKED_FLAG,
-        },
-        lanes => McEngine::Batched { lanes },
-    }
+    *MC_ENGINE.lock().expect("engine lock")
 }
 
 /// Resolves [`McEngine::Auto`] for a population of `samples` dies:
@@ -338,18 +323,16 @@ pub fn delta_t_population_with_engine(
     assert!(samples > 0, "need at least one sample");
     let span = rotsv_obs::span!("mc_population", "samples" = samples);
     span.field("vdd", vdd);
-    let measurements = match resolve_engine(engine, samples) {
-        McEngine::Scalar => {
-            scalar_measurements(bench, vdd, faults, under_test, spread, seed, samples)?
-        }
-        McEngine::Auto => unreachable!("resolve_engine returns a concrete engine"),
-        McEngine::Batched { lanes } => {
-            queued_measurements(bench, vdd, faults, under_test, spread, seed, samples, lanes)?
-        }
-        McEngine::BatchedChunked { lanes } => {
-            batched_measurements(bench, vdd, faults, under_test, spread, seed, samples, lanes)?
-        }
-    };
+    let per_die_faults = vec![faults; samples];
+    let measurements = measure_dies(
+        bench,
+        vdd,
+        &per_die_faults,
+        under_test,
+        spread,
+        seed,
+        engine,
+    )?;
     Ok(collect_population(measurements))
 }
 
@@ -446,14 +429,67 @@ pub fn delta_t_fault_sweep_with_engine(
     assert!(samples > 0, "need at least one sample");
     let span = rotsv_obs::span!("mc_fault_sweep", "samples" = samples);
     span.field("vdd", vdd);
-    let measurements = match resolve_engine(engine, samples) {
+    let per_die_faults: Vec<&[TsvFault]> = per_die_faults.iter().map(Vec::as_slice).collect();
+    let measurements = measure_dies(
+        bench,
+        vdd,
+        &per_die_faults,
+        under_test,
+        spread,
+        seed,
+        engine,
+    )?;
+    Ok(collect_population(measurements))
+}
+
+/// The two-run measurement of every sample die, in sample order: sample
+/// `i` is the die `Die::new(spread, die_seed(seed, i))` under the fault
+/// list `per_die_faults[i]`. The one per-die path behind both population
+/// functions, with one arm per concrete engine:
+///
+/// * scalar — one [`TestBench::measure_delta_t`] per die, fanned out
+///   across threads;
+/// * batched — the whole population in cohort order ([`cohort_order`])
+///   through one [`TestBench::measure_delta_t_queue`] call at `lanes`,
+///   un-permuted back to sample order;
+/// * batched-chunked — the same call over fixed sample-order slices of
+///   up to `lanes` dies, one lane per die.
+///
+/// The batched arms share one symbolic cache across the population, so
+/// it performs O(topologies) symbolic analyses, not O(samples).
+fn measure_dies(
+    bench: &TestBench,
+    vdd: f64,
+    per_die_faults: &[&[TsvFault]],
+    under_test: &[usize],
+    spread: ProcessSpread,
+    seed: u64,
+    engine: McEngine,
+) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
+    let samples = per_die_faults.len();
+    let die = |i: usize| Die::new(spread, die_seed(seed, i));
+    let cache = Arc::new(SymbolicCache::new());
+    let opts = bench.opts_for(vdd);
+    // Measures the samples `order` lists, in that order.
+    let queue = |order: &[usize], lanes: usize| {
+        let dies: Vec<Die> = order.iter().map(|&i| die(i)).collect();
+        let die_refs: Vec<&Die> = dies.iter().collect();
+        let faults: Vec<&[TsvFault]> = order.iter().map(|&i| per_die_faults[i]).collect();
+        bench.measure_delta_t_queue(vdd, &faults, under_test, &die_refs, lanes, &opts, &cache)
+    };
+    match resolve_engine(engine, samples) {
         McEngine::Scalar => {
+            // Workers have no span stack of their own: capture this path
+            // so each sample's spans attach under the population span and
+            // survive the join.
             let parent = rotsv_obs::current_path();
+            // Panic-safe fan-out: a die whose worker panics is reported
+            // as `SpiceError::WorkerPanic` with its sample index instead
+            // of tearing down the other workers' scope with no context.
             let results = rotsv_num::parallel::try_parallel_map(samples, |i| {
                 let sample_span = rotsv_obs::span::SpanGuard::enter_under(parent, "mc_sample");
                 sample_span.field("i", i as f64);
-                let die = Die::new(spread, die_seed(seed, i));
-                bench.measure_delta_t(vdd, &per_die_faults[i], under_test, &die)
+                bench.measure_delta_t(vdd, per_die_faults[i], under_test, &die(i))
             });
             results
                 .into_iter()
@@ -463,105 +499,31 @@ pub fn delta_t_fault_sweep_with_engine(
                         payload: p.payload,
                     })?
                 })
-                .collect::<Result<Vec<_>, _>>()?
+                .collect()
         }
         McEngine::Auto => unreachable!("resolve_engine returns a concrete engine"),
         McEngine::Batched { lanes } => {
-            let lanes = lanes.max(1);
-            let cache = Arc::new(SymbolicCache::new());
-            let opts = bench.opts_for(vdd);
-            // Cohort order applies to the dies *and* their fault lists
-            // together: the permutation is pure scheduling either way.
             let order = cohort_order(spread, seed, samples);
-            let dies: Vec<Die> = order
-                .iter()
-                .map(|&i| Die::new(spread, die_seed(seed, i)))
-                .collect();
-            let die_refs: Vec<&Die> = dies.iter().collect();
-            let fault_refs: Vec<&[TsvFault]> = order
-                .iter()
-                .map(|&i| per_die_faults[i].as_slice())
-                .collect();
-            let queued = bench.measure_delta_t_queue_hetero_with(
-                vdd,
-                &fault_refs,
-                under_test,
-                &die_refs,
-                lanes,
-                &opts,
-                &cache,
-            )?;
             let mut out: Vec<Option<DeltaTMeasurement>> = vec![None; samples];
-            for (&i, m) in order.iter().zip(queued) {
+            for (&i, m) in order.iter().zip(queue(&order, lanes)?) {
                 out[i] = Some(m);
             }
-            out.into_iter()
+            Ok(out
+                .into_iter()
                 .map(|m| m.expect("every sample measured exactly once"))
-                .collect()
+                .collect())
         }
         McEngine::BatchedChunked { lanes } => {
-            let lanes = lanes.max(1);
-            let cache = Arc::new(SymbolicCache::new());
-            let opts = bench.opts_for(vdd);
             let mut out = Vec::with_capacity(samples);
-            let mut start = 0;
-            while start < samples {
-                let end = (start + lanes).min(samples);
-                let dies: Vec<Die> = (start..end)
-                    .map(|i| Die::new(spread, die_seed(seed, i)))
-                    .collect();
-                let die_refs: Vec<&Die> = dies.iter().collect();
-                let fault_refs: Vec<&[TsvFault]> =
-                    (start..end).map(|i| per_die_faults[i].as_slice()).collect();
-                out.extend(bench.measure_delta_t_batch_hetero_with(
-                    vdd,
-                    &fault_refs,
-                    under_test,
-                    &die_refs,
-                    &opts,
-                    &cache,
-                )?);
-                start = end;
+            let all: Vec<usize> = (0..samples).collect();
+            for slice in all.chunks(lanes.max(1)) {
+                let batch_span = rotsv_obs::span!("mc_batch", "start" = slice[0]);
+                batch_span.field("lanes", slice.len() as f64);
+                out.extend(queue(slice, slice.len())?);
             }
-            out
+            Ok(out)
         }
-    };
-    Ok(collect_population(measurements))
-}
-
-/// One scalar two-run measurement per die, fanned out across threads.
-fn scalar_measurements(
-    bench: &TestBench,
-    vdd: f64,
-    faults: &[TsvFault],
-    under_test: &[usize],
-    spread: ProcessSpread,
-    seed: u64,
-    samples: usize,
-) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-    // Workers have no span stack of their own: capture this path so each
-    // sample's spans attach under `mc_population` and survive the join
-    // (per-thread collectors flush into the global registry when the
-    // worker's stack empties and when its thread exits).
-    let parent = rotsv_obs::current_path();
-    // Panic-safe fan-out: a die whose worker panics is reported as
-    // `SpiceError::WorkerPanic` with its sample index instead of tearing
-    // down the other workers' scope with no context.
-    let results = rotsv_num::parallel::try_parallel_map(samples, |i| {
-        let sample_span = rotsv_obs::span::SpanGuard::enter_under(parent, "mc_sample");
-        sample_span.field("i", i as f64);
-        let die = Die::new(spread, die_seed(seed, i));
-        bench.measure_delta_t(vdd, faults, under_test, &die)
-    });
-    results
-        .into_iter()
-        .map(|r| {
-            r.map_err(|p| SpiceError::WorkerPanic {
-                index: p.index,
-                payload: p.payload,
-            })?
-        })
-        .collect()
+    }
 }
 
 /// Orders the sample indices into variation cohorts: dies of similar
@@ -581,81 +543,6 @@ fn cohort_order(spread: ProcessSpread, seed: u64, samples: usize) -> Vec<usize> 
         .collect();
     order.sort_by(|&a, &b| score[a].total_cmp(&score[b]).then(a.cmp(&b)));
     order
-}
-
-/// The refill queue: the whole population streams through `lanes` SIMD
-/// lanes in one transient per run, re-seating a lane with the next
-/// queued die the moment its current die's measurement completes. Dies
-/// enter in cohort order ([`cohort_order`]); results return in sample
-/// order. One symbolic cache spans both runs, so the population
-/// performs O(topologies) symbolic analyses, not O(samples).
-#[allow(clippy::too_many_arguments)]
-fn queued_measurements(
-    bench: &TestBench,
-    vdd: f64,
-    faults: &[TsvFault],
-    under_test: &[usize],
-    spread: ProcessSpread,
-    seed: u64,
-    samples: usize,
-    lanes: usize,
-) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-    let lanes = lanes.max(1);
-    let cache = Arc::new(SymbolicCache::new());
-    let opts = bench.opts_for(vdd);
-    let order = cohort_order(spread, seed, samples);
-    let dies: Vec<Die> = order
-        .iter()
-        .map(|&i| Die::new(spread, die_seed(seed, i)))
-        .collect();
-    let die_refs: Vec<&Die> = dies.iter().collect();
-    let queued = bench
-        .measure_delta_t_queue_with(vdd, faults, under_test, &die_refs, lanes, &opts, &cache)?;
-    let mut out: Vec<Option<DeltaTMeasurement>> = vec![None; samples];
-    for (&i, m) in order.iter().zip(queued) {
-        out[i] = Some(m);
-    }
-    Ok(out
-        .into_iter()
-        .map(|m| m.expect("every sample measured exactly once"))
-        .collect())
-}
-
-/// Lockstep batches of up to `lanes` dies, grouped in sample-index
-/// order so die derivation matches the scalar enumeration exactly. One
-/// symbolic cache spans the whole population: every batch of both runs
-/// shares the same matrix topology, so the population performs O(1)
-/// symbolic analyses instead of one per transient.
-#[allow(clippy::too_many_arguments)]
-fn batched_measurements(
-    bench: &TestBench,
-    vdd: f64,
-    faults: &[TsvFault],
-    under_test: &[usize],
-    spread: ProcessSpread,
-    seed: u64,
-    samples: usize,
-    lanes: usize,
-) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-    let lanes = lanes.max(1);
-    let cache = Arc::new(SymbolicCache::new());
-    let opts = bench.opts_for(vdd);
-    let mut out = Vec::with_capacity(samples);
-    let mut start = 0;
-    while start < samples {
-        let end = (start + lanes).min(samples);
-        let batch_span = rotsv_obs::span!("mc_batch", "start" = start);
-        batch_span.field("lanes", (end - start) as f64);
-        let dies: Vec<Die> = (start..end)
-            .map(|i| Die::new(spread, die_seed(seed, i)))
-            .collect();
-        let die_refs: Vec<&Die> = dies.iter().collect();
-        out.extend(
-            bench.measure_delta_t_batch_with(vdd, faults, under_test, &die_refs, &opts, &cache)?,
-        );
-        start = end;
-    }
-    Ok(out)
 }
 
 /// Deterministic per-sample die seed.
@@ -776,6 +663,13 @@ mod tests {
         for engine in [
             McEngine::Batched { lanes: 4 },
             McEngine::BatchedChunked { lanes: 7 },
+            // Lane counts at and above the old flag-bit boundary.
+            McEngine::BatchedChunked {
+                lanes: usize::MAX >> 1,
+            },
+            McEngine::Batched {
+                lanes: 1 << (usize::BITS - 1),
+            },
             McEngine::Auto,
             McEngine::Scalar,
         ] {

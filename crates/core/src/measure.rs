@@ -65,7 +65,7 @@ impl TestBench {
     /// procedure at `vdd`: run 1 with the TSVs in `under_test` enabled,
     /// run 2 with every TSV bypassed. This is the single source of the
     /// configuration construction — every measurement path (scalar,
-    /// batched, queued, and a screening server's streamed units) builds
+    /// queued, and a screening server's streamed units) builds
     /// from it, which is what makes their per-die results comparable
     /// bit for bit.
     ///
@@ -165,162 +165,23 @@ impl TestBench {
         Ok(DeltaTMeasurement { t1, t2, stats })
     }
 
-    /// The two-run procedure on `dies.len()` dies at once, using the
-    /// batched transient engine: each run simulates all dies as lanes
-    /// of one structure-of-arrays transient, each lane on its own clock
-    /// ([`RingOscillator::measure_batch_with_stats`]).
+    /// The two-run procedure on a whole die queue through the lane
+    /// engine: each run streams every die through `lanes` SIMD lanes
+    /// with mid-transient refill
+    /// ([`RingOscillator::measure_queue_with_stats`]), seating the next
+    /// die into a lane the moment its predecessor's measurement
+    /// completes. Die `i` is measured under its own fault list
+    /// `per_die_faults[i]`, so one call serves a homogeneous population
+    /// (every list the same) and a fault sweep (e.g. a leakage ladder
+    /// from hard-stuck to effectively fault-free) alike. Every list must
+    /// produce the same matrix topology (e.g. all
+    /// [`rotsv_tsv::TsvFault::Leakage`] with different resistances).
     ///
-    /// Returns one measurement per die, in input order. Empty input
-    /// returns an empty vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`TestBench::measure_delta_t`].
-    pub fn measure_delta_t_batch(
-        &self,
-        vdd: f64,
-        faults: &[TsvFault],
-        under_test: &[usize],
-        dies: &[&Die],
-    ) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-        let cache = Arc::new(SymbolicCache::new());
-        self.measure_delta_t_batch_with(vdd, faults, under_test, dies, &self.opts_for(vdd), &cache)
-    }
-
-    /// Like [`TestBench::measure_delta_t_batch`] with explicit
-    /// measurement options and an externally owned symbolic cache — a
-    /// population run passes the same cache to every batch so the whole
-    /// population performs O(topologies) symbolic analyses, not
-    /// O(samples).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`TestBench::measure_delta_t`].
-    pub fn measure_delta_t_batch_with(
-        &self,
-        vdd: f64,
-        faults: &[TsvFault],
-        under_test: &[usize],
-        dies: &[&Die],
-        opts: &MeasureOpts,
-        cache: &Arc<SymbolicCache>,
-    ) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-        if dies.is_empty() {
-            return Ok(Vec::new());
-        }
-        let span = rotsv_obs::span!("measure_delta_t_batch", "vdd" = vdd);
-        span.field("lanes", dies.len() as f64);
-        let (enabled_config, config) = self.ro_configs(vdd, faults, under_test);
-        let build_all = |cfg: &RoConfig| -> Vec<RingOscillator> {
-            dies.iter()
-                .map(|die| {
-                    let mut ro = RingOscillator::build(cfg, &mut die.variation());
-                    ro.set_symbolic_cache(Arc::clone(cache));
-                    ro
-                })
-                .collect()
-        };
-        // Run 1: TSVs under test enabled, all dies as lanes.
-        let ros1 = build_all(&enabled_config);
-        let refs1: Vec<&RingOscillator> = ros1.iter().collect();
-        let run1 = RingOscillator::measure_batch_with_stats(&refs1, opts)?;
-        // Run 2: all bypassed. Same dies — identical variation streams.
-        let ros2 = build_all(&config);
-        let refs2: Vec<&RingOscillator> = ros2.iter().collect();
-        let run2 = RingOscillator::measure_batch_with_stats(&refs2, opts)?;
-        Ok(run1
-            .into_iter()
-            .zip(run2)
-            .map(|((t1, stats1), (t2, stats2))| {
-                let mut stats = stats1;
-                stats.merge(&stats2);
-                DeltaTMeasurement { t1, t2, stats }
-            })
-            .collect())
-    }
-
-    /// The two-run procedure on a whole die queue streamed through
-    /// `lanes` SIMD lanes with mid-transient refill
-    /// ([`RingOscillator::measure_queue_with_stats`]): each run simulates
-    /// the *entire* population in one transient, seating the next die
-    /// into a lane the moment its predecessor's measurement completes.
-    /// Per-die results are bit-identical to
-    /// [`TestBench::measure_delta_t_batch_with`] over the same dies.
-    ///
-    /// Returns one measurement per die, in input order. Empty input
-    /// returns an empty vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`TestBench::measure_delta_t`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_delta_t_queue_with(
-        &self,
-        vdd: f64,
-        faults: &[TsvFault],
-        under_test: &[usize],
-        dies: &[&Die],
-        lanes: usize,
-        opts: &MeasureOpts,
-        cache: &Arc<SymbolicCache>,
-    ) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-        if dies.is_empty() {
-            return Ok(Vec::new());
-        }
-        let span = rotsv_obs::span!("measure_delta_t_queue", "vdd" = vdd);
-        span.field("lanes", lanes as f64);
-        span.field("dies", dies.len() as f64);
-        let (enabled_config, config) = self.ro_configs(vdd, faults, under_test);
-        let build_all = |cfg: &RoConfig| -> Vec<RingOscillator> {
-            dies.iter()
-                .map(|die| {
-                    let mut ro = RingOscillator::build(cfg, &mut die.variation());
-                    ro.set_symbolic_cache(Arc::clone(cache));
-                    ro
-                })
-                .collect()
-        };
-        // Run 1: TSVs under test enabled, the whole queue streamed.
-        let ros1 = build_all(&enabled_config);
-        let refs1: Vec<&RingOscillator> = ros1.iter().collect();
-        let run1 = RingOscillator::measure_queue_with_stats(&refs1, lanes, opts)?;
-        // Run 2: all bypassed. Same dies — identical variation streams.
-        let ros2 = build_all(&config);
-        let refs2: Vec<&RingOscillator> = ros2.iter().collect();
-        let run2 = RingOscillator::measure_queue_with_stats(&refs2, lanes, opts)?;
-        Ok(run1
-            .into_iter()
-            .zip(run2)
-            .map(|((t1, stats1), (t2, stats2))| {
-                let mut stats = stats1;
-                stats.merge(&stats2);
-                DeltaTMeasurement { t1, t2, stats }
-            })
-            .collect())
-    }
-
-    /// Heterogeneous variant of [`TestBench::measure_delta_t_queue_with`]:
-    /// die `i` carries its *own* fault list `per_die_faults[i]` — a fault
-    /// sweep (e.g. a leakage-resistance ladder from hard-stuck to
-    /// effectively fault-free) streamed through one refill queue instead
-    /// of one transient per fault value.
-    ///
-    /// Every die's faults must produce the same matrix topology (e.g.
-    /// all [`rotsv_tsv::TsvFault::Leakage`] with different resistances):
-    /// the queue engine asserts topology uniformity across seated lanes.
-    /// Per-die results are bit-identical to measuring each die alone.
+    /// Passing one `cache` to every call makes a population perform
+    /// O(topologies) symbolic analyses, not O(dies). Per-die results are
+    /// bit-identical at any lane count and queue order. Returns one
+    /// measurement per die, in input order; empty input returns an empty
+    /// vector.
     ///
     /// # Errors
     ///
@@ -331,7 +192,7 @@ impl TestBench {
     /// Same conditions as [`TestBench::measure_delta_t`], plus a
     /// `per_die_faults`/`dies` length mismatch or mixed-topology faults.
     #[allow(clippy::too_many_arguments)]
-    pub fn measure_delta_t_queue_hetero_with(
+    pub fn measure_delta_t_queue(
         &self,
         vdd: f64,
         per_die_faults: &[&[TsvFault]],
@@ -344,16 +205,17 @@ impl TestBench {
         assert_eq!(
             per_die_faults.len(),
             dies.len(),
-            "one fault list per die in a heterogeneous sweep"
+            "one fault list per die in a queue"
         );
         if dies.is_empty() {
             return Ok(Vec::new());
         }
-        let span = rotsv_obs::span!("measure_delta_t_queue_hetero", "vdd" = vdd);
+        let span = rotsv_obs::span!("measure_delta_t_queue", "vdd" = vdd);
         span.field("lanes", lanes as f64);
         span.field("dies", dies.len() as f64);
-        let build_all = |enabled: bool| -> Vec<RingOscillator> {
-            dies.iter()
+        let run = |enabled: bool| {
+            let ros: Vec<RingOscillator> = dies
+                .iter()
                 .zip(per_die_faults)
                 .map(|(die, faults)| {
                     let (en, by) = self.ro_configs(vdd, faults, under_test);
@@ -362,81 +224,14 @@ impl TestBench {
                     ro.set_symbolic_cache(Arc::clone(cache));
                     ro
                 })
-                .collect()
+                .collect();
+            let refs: Vec<&RingOscillator> = ros.iter().collect();
+            RingOscillator::measure_queue_with_stats(&refs, lanes, opts)
         };
-        // Run 1: TSVs under test enabled, the whole sweep streamed.
-        let ros1 = build_all(true);
-        let refs1: Vec<&RingOscillator> = ros1.iter().collect();
-        let run1 = RingOscillator::measure_queue_with_stats(&refs1, lanes, opts)?;
-        // Run 2: all bypassed. Same dies — identical variation streams.
-        let ros2 = build_all(false);
-        let refs2: Vec<&RingOscillator> = ros2.iter().collect();
-        let run2 = RingOscillator::measure_queue_with_stats(&refs2, lanes, opts)?;
-        Ok(run1
-            .into_iter()
-            .zip(run2)
-            .map(|((t1, stats1), (t2, stats2))| {
-                let mut stats = stats1;
-                stats.merge(&stats2);
-                DeltaTMeasurement { t1, t2, stats }
-            })
-            .collect())
-    }
-
-    /// Heterogeneous variant of [`TestBench::measure_delta_t_batch_with`]
-    /// (fixed lockstep batch, no refill): die `i` carries its own fault
-    /// list. Same topology-uniformity requirement as
-    /// [`TestBench::measure_delta_t_queue_hetero_with`]; the chunked
-    /// cross-check for the heterogeneous refill benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as
-    /// [`TestBench::measure_delta_t_queue_hetero_with`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_delta_t_batch_hetero_with(
-        &self,
-        vdd: f64,
-        per_die_faults: &[&[TsvFault]],
-        under_test: &[usize],
-        dies: &[&Die],
-        opts: &MeasureOpts,
-        cache: &Arc<SymbolicCache>,
-    ) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-        assert_eq!(
-            per_die_faults.len(),
-            dies.len(),
-            "one fault list per die in a heterogeneous sweep"
-        );
-        if dies.is_empty() {
-            return Ok(Vec::new());
-        }
-        let span = rotsv_obs::span!("measure_delta_t_batch_hetero", "vdd" = vdd);
-        span.field("lanes", dies.len() as f64);
-        let build_all = |enabled: bool| -> Vec<RingOscillator> {
-            dies.iter()
-                .zip(per_die_faults)
-                .map(|(die, faults)| {
-                    let (en, by) = self.ro_configs(vdd, faults, under_test);
-                    let cfg = if enabled { en } else { by };
-                    let mut ro = RingOscillator::build(&cfg, &mut die.variation());
-                    ro.set_symbolic_cache(Arc::clone(cache));
-                    ro
-                })
-                .collect()
-        };
-        // Run 1: TSVs under test enabled, all dies as lanes.
-        let ros1 = build_all(true);
-        let refs1: Vec<&RingOscillator> = ros1.iter().collect();
-        let run1 = RingOscillator::measure_batch_with_stats(&refs1, opts)?;
-        // Run 2: all bypassed. Same dies — identical variation streams.
-        let ros2 = build_all(false);
-        let refs2: Vec<&RingOscillator> = ros2.iter().collect();
-        let run2 = RingOscillator::measure_batch_with_stats(&refs2, opts)?;
+        // Run 1: TSVs under test enabled. Run 2: all bypassed — the same
+        // dies, so identical variation streams.
+        let run1 = run(true)?;
+        let run2 = run(false)?;
         Ok(run1
             .into_iter()
             .zip(run2)

@@ -43,7 +43,11 @@ pub struct SolverStats {
     /// Rejected integration steps (local-truncation-error control or
     /// Newton failure).
     pub steps_rejected: u64,
-    /// Wall-clock time spent inside analyses, seconds.
+    /// Wall-clock time spent inside analyses, seconds. For a die run on
+    /// the lane engine (`rotsv_spice::transient_stream`) this is the
+    /// die's share of its session: its lane-resident time (seat to
+    /// retire) divided by the lane count K, so the dies of one session
+    /// sum to no more than the session's wall clock.
     pub wall_seconds: f64,
 }
 

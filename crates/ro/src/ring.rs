@@ -1,14 +1,14 @@
 //! Ring-oscillator netlist construction and period measurement.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use rotsv_mosfet::model::VariationSource;
 use rotsv_mosfet::tech45::DriveStrength;
 use rotsv_num::SymbolicCache;
 use rotsv_spice::{
-    transient_batch, transient_queue, transient_stream, Circuit, IntegrationMethod, NodeId,
-    PeriodMeasurement, SolverStats, SourceWaveform, SpiceError, StepControl, TransientResult,
-    TransientSpec, Waveform,
+    transient_stream, Circuit, IntegrationMethod, NodeId, PeriodMeasurement, SolverStats,
+    SourceWaveform, SpiceError, StepControl, TransientResult, TransientSpec, Waveform,
 };
 use rotsv_stdcell::CellBuilder;
 use rotsv_tsv::{Tsv, TsvFault, TsvModel, TsvTech};
@@ -181,8 +181,8 @@ impl OscillationOutcome {
 
 /// Period extraction from a finished transient: everything it needs
 /// (probe node, V_DD) is shared across a measurement group, so the
-/// streaming path can extract outcomes without keeping the consumed
-/// [`RingOscillator`] alive.
+/// streaming path extracts outcomes in its sink without reaching back
+/// to the ring.
 fn extract_outcome_at(
     res: &TransientResult,
     probe: NodeId,
@@ -199,6 +199,15 @@ fn extract_outcome_at(
         },
     };
     (outcome, stats)
+}
+
+/// A ring handed to the lane engine: the engine borrows its circuit.
+struct RingCircuit<R>(R);
+
+impl<R: Borrow<RingOscillator>> Borrow<Circuit> for RingCircuit<R> {
+    fn borrow(&self) -> &Circuit {
+        &self.0.borrow().circuit
+    }
 }
 
 /// A fully built ring-oscillator DfT group.
@@ -366,7 +375,7 @@ impl RingOscillator {
     ) -> Result<(OscillationOutcome, SolverStats), SpiceError> {
         opts.validate();
         let res = self.circuit.transient(&self.measure_spec(opts))?;
-        Ok(self.extract_outcome(&res, opts))
+        Ok(extract_outcome_at(&res, self.probe, self.vdd, opts))
     }
 
     /// The transient specification of one period measurement.
@@ -379,66 +388,19 @@ impl RingOscillator {
             .stop_after_rising(self.probe, self.vdd / 2.0, needed)
     }
 
-    /// Period extraction from a finished transient (shared by the scalar
-    /// and batched measurement paths).
-    fn extract_outcome(
-        &self,
-        res: &TransientResult,
-        opts: &MeasureOpts,
-    ) -> (OscillationOutcome, SolverStats) {
-        extract_outcome_at(res, self.probe, self.vdd, opts)
-    }
-
     /// Measures `ros` — same-topology rings differing only in element
-    /// values (process variation, fault severity) — in one batched
-    /// transient ([`transient_batch`]): one shared symbolic analysis,
-    /// one Newton loop evaluating all lanes (each on its own clock),
-    /// per-lane retirement as each ring's crossing count completes.
+    /// values (process variation, fault severity) — through `lanes` SIMD
+    /// lanes of the lane engine with mid-transient refill: when a ring's
+    /// crossing count completes, the next queued ring is seated into its
+    /// lane immediately, so a large population never decays to a
+    /// half-empty batch. One symbolic analysis serves the whole queue.
+    /// This is [`RingOscillator::measure_stream_with_stats`] over a
+    /// source that yields nothing, with a sink that collects into input
+    /// order; per-ring outcomes are bit-identical at any lane count
+    /// (`lanes = ros.len()` runs every ring in its own lane, no refill).
     ///
     /// Returns one `(outcome, stats)` per ring, in input order. Empty
     /// input returns an empty vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors; [`SpiceError::InvalidCircuit`] when
-    /// the rings are not topology-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts` is invalid or the rings disagree on V_DD or
-    /// probe node (different build configurations).
-    pub fn measure_batch_with_stats(
-        ros: &[&RingOscillator],
-        opts: &MeasureOpts,
-    ) -> Result<Vec<(OscillationOutcome, SolverStats)>, SpiceError> {
-        let Some(first) = ros.first() else {
-            return Ok(Vec::new());
-        };
-        opts.validate();
-        for ro in ros {
-            assert_eq!(ro.vdd, first.vdd, "batched rings must share V_DD");
-            assert_eq!(
-                ro.probe, first.probe,
-                "batched rings must share the probe node"
-            );
-        }
-        let spec = first.measure_spec(opts);
-        let circuits: Vec<&Circuit> = ros.iter().map(|ro| ro.circuit()).collect();
-        let results = transient_batch(&circuits, &spec)?;
-        Ok(ros
-            .iter()
-            .zip(&results)
-            .map(|(ro, res)| ro.extract_outcome(res, opts))
-            .collect())
-    }
-
-    /// Like [`RingOscillator::measure_batch_with_stats`], but streams the
-    /// whole ring queue through `lanes` SIMD lanes with mid-transient
-    /// refill ([`transient_queue`]): when a ring's crossing count
-    /// completes, the next queued ring is seated into its lane
-    /// immediately, so a large population never decays to a half-empty
-    /// batch. Per-ring outcomes are bit-identical to
-    /// [`RingOscillator::measure_batch_with_stats`] at any lane count.
     ///
     /// # Errors
     ///
@@ -454,59 +416,46 @@ impl RingOscillator {
         lanes: usize,
         opts: &MeasureOpts,
     ) -> Result<Vec<(OscillationOutcome, SolverStats)>, SpiceError> {
-        let Some(first) = ros.first() else {
-            return Ok(Vec::new());
-        };
-        opts.validate();
-        for ro in ros {
-            assert_eq!(ro.vdd, first.vdd, "batched rings must share V_DD");
-            assert_eq!(
-                ro.probe, first.probe,
-                "batched rings must share the probe node"
-            );
-        }
-        let spec = first.measure_spec(opts);
-        let circuits: Vec<&Circuit> = ros.iter().map(|ro| ro.circuit()).collect();
-        let results = transient_queue(&circuits, lanes, &spec)?;
-        Ok(ros
-            .iter()
-            .zip(&results)
-            .map(|(ro, res)| ro.extract_outcome(res, opts))
+        let mut out: Vec<Option<(OscillationOutcome, SolverStats)>> = vec![None; ros.len()];
+        let mut sink = |i: usize, outcome, stats| out[i] = Some((outcome, stats));
+        Self::measure_stream_with_stats(ros.to_vec(), lanes, opts, &mut || None, &mut sink)?;
+        Ok(out
+            .into_iter()
+            .map(|m| m.expect("every ring measured exactly once"))
             .collect())
     }
 
-    /// Open-ended streaming form of
-    /// [`RingOscillator::measure_queue_with_stats`], built on
-    /// [`transient_stream`]: retiring lanes refill from `source`
-    /// instead of a fixed population, and each ring's `(outcome,
-    /// stats)` is handed to `sink` the moment its measurement
-    /// completes. This is the measurement loop a resident screening
-    /// server drives — rings admitted while a group is mid-transient
-    /// seat into retiring lanes without draining the batch.
+    /// Open-ended streaming measurement, built on [`transient_stream`]:
+    /// retiring lanes refill from the rest of `initial`, then from
+    /// `source`, and each ring's `(outcome, stats)` is handed to `sink`
+    /// the moment its measurement completes. This is the measurement
+    /// loop a resident screening server drives — rings admitted while a
+    /// group is mid-transient seat into retiring lanes without draining
+    /// the batch.
     ///
-    /// The rings are consumed: the engine owns their circuits for the
-    /// lifetime of the streaming session. `source` is polled
+    /// `R` is a ring the engine owns (`RingOscillator`) or borrows
+    /// (`&RingOscillator`) for the session. `source` is polled
     /// non-blockingly at each retirement; returning `None` idles the
     /// lane for the rest of the session. `sink` receives the ring index
     /// (0-based over `initial` then each sourced ring, in pull order).
-    /// Per-ring outcomes are bit-identical to every other measurement
-    /// path over the same circuits. Returns the number of rings
+    /// Per-ring outcomes are bit-identical to every other lane
+    /// composition over the same circuits. Returns the number of rings
     /// measured and delivered.
     ///
     /// # Errors
     ///
     /// Propagates simulator errors; [`SpiceError::InvalidCircuit`] when
-    /// a sourced ring is not topology-identical to the first.
+    /// a ring is not topology-identical to the first.
     ///
     /// # Panics
     ///
     /// Panics if `opts` is invalid or any ring disagrees with the first
     /// on V_DD or probe node (different build configurations).
-    pub fn measure_stream_with_stats(
-        initial: Vec<RingOscillator>,
+    pub fn measure_stream_with_stats<R: Borrow<RingOscillator>>(
+        initial: Vec<R>,
         lanes: usize,
         opts: &MeasureOpts,
-        source: &mut dyn FnMut() -> Option<RingOscillator>,
+        source: &mut dyn FnMut() -> Option<R>,
         sink: &mut dyn FnMut(usize, OscillationOutcome, SolverStats),
     ) -> Result<usize, SpiceError> {
         opts.validate();
@@ -517,19 +466,20 @@ impl RingOscillator {
                 None => return Ok(0),
             }
         }
-        let (probe, vdd) = (initial[0].probe, initial[0].vdd);
-        let spec = initial[0].measure_spec(opts);
-        let check = |ro: &RingOscillator| {
+        let first: &RingOscillator = initial[0].borrow();
+        let (probe, vdd) = (first.probe, first.vdd);
+        let spec = first.measure_spec(opts);
+        let check = |ro: &R| {
+            let ro: &RingOscillator = ro.borrow();
             assert_eq!(ro.vdd, vdd, "streamed rings must share V_DD");
             assert_eq!(ro.probe, probe, "streamed rings must share the probe node");
         };
         initial.iter().for_each(check);
-        let circuits: Vec<Arc<Circuit>> =
-            initial.into_iter().map(|ro| Arc::new(ro.circuit)).collect();
+        let circuits: Vec<RingCircuit<R>> = initial.into_iter().map(RingCircuit).collect();
         let mut ckt_source = || {
             source().map(|ro| {
                 check(&ro);
-                Arc::new(ro.circuit)
+                RingCircuit(ro)
             })
         };
         let mut ckt_sink = |die: usize, res: TransientResult| {
@@ -689,7 +639,7 @@ mod tests {
             .map(|c| RingOscillator::build(c, &mut Nominal))
             .collect();
         let refs: Vec<&RingOscillator> = ros.iter().collect();
-        let batched = RingOscillator::measure_batch_with_stats(&refs, &opts).unwrap();
+        let batched = RingOscillator::measure_queue_with_stats(&refs, refs.len(), &opts).unwrap();
         assert_eq!(batched.len(), ros.len());
         let analyses: u64 = batched.iter().map(|(_, s)| s.symbolic_analyses).sum();
         assert_eq!(analyses, 1, "one symbolic analysis for the whole batch");

@@ -29,12 +29,16 @@
 //! alongside it** — the property the refill scheduler and the
 //! chunked-vs-streamed cross-checks rely on.
 //!
-//! **Refill:** [`transient_queue`] seats the first K dies of the
-//! population into the K lanes; whenever a lane finishes (its stop
-//! condition fires or it reaches `t_stop`), the next queued die is seated
-//! into that lane *mid-flight* — state, element values, device-bank
-//! parameters and factorization flags are re-seeded from the incoming
-//! die — so lanes never idle while work remains. Occupancy is observed
+//! **Refill:** [`transient_stream`], the one entry into the lane engine,
+//! seats the first K dies into the K lanes; whenever a lane finishes (its
+//! stop condition fires or it reaches `t_stop`), the next die — from the
+//! initial population, then from the caller's source — is seated into
+//! that lane *mid-flight* (state, element values, device-bank parameters
+//! and factorization flags are re-seeded from the incoming die), so lanes
+//! never idle while work remains. Each retired die's result leaves
+//! through the caller's sink; a fixed population is the special case of
+//! a source that yields nothing and a sink that collects into population
+//! order. Occupancy is observed
 //! per super-iteration in the `mc.batch_occupancy` histogram, and the
 //! `mc.dt_drag` histogram records, per accepted lane-step, the ratio of
 //! the lane's accepted `dt` to the smallest `dt` among co-resident busy
@@ -52,6 +56,7 @@
 //! This never happens on the workloads in this repository and the scalar
 //! engine has the same per-die fallback.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -155,48 +160,6 @@ struct BatchWorkspace {
     rhs: Vec<f64>,
     /// Per-**die** work counters (population order, length N).
     stats: Vec<SolverStats>,
-}
-
-/// The die population an engine streams: either borrowed up front (the
-/// [`transient_batch`]/[`transient_queue`] form, population known and
-/// fixed) or owned and grown mid-run as a [`transient_stream`] source
-/// hands over newly admitted dies.
-enum Population<'a> {
-    /// The whole population, borrowed at construction.
-    Borrowed(&'a [&'a Circuit]),
-    /// An owned population that grows as the source yields circuits.
-    Streamed(Vec<Arc<Circuit>>),
-}
-
-impl Population<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Population::Borrowed(s) => s.len(),
-            Population::Streamed(v) => v.len(),
-        }
-    }
-
-    fn get(&self, die: usize) -> &Circuit {
-        match self {
-            Population::Borrowed(s) => s[die],
-            Population::Streamed(v) => &v[die],
-        }
-    }
-
-    /// Borrows every die (construction-time use only; the hot paths
-    /// index through [`Population::get`]).
-    fn refs(&self) -> Vec<&Circuit> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
-
-    fn push(&mut self, ckt: Arc<Circuit>) {
-        match self {
-            Population::Streamed(v) => v.push(ckt),
-            Population::Borrowed(_) => {
-                unreachable!("only a streaming engine pulls from a source")
-            }
-        }
-    }
 }
 
 /// Checks that every die has the topology of die 0: same nodes, same
@@ -369,11 +332,11 @@ impl BatchWorkspace {
     /// (conductances, waveforms), re-seats or rebuilds the device banks,
     /// and invalidates the lane's stored LU factors. The caller re-seeds
     /// the dynamic state (`x`, capacitor history, lane clock).
-    fn reseat_lane(&mut self, ckts: &Population, lane: usize, die: usize) {
+    fn reseat_lane<C: Borrow<Circuit>>(&mut self, ckts: &[C], lane: usize, die: usize) {
         self.lane_die[lane] = die;
         self.lu_valid[lane] = false;
         self.factored_once[lane] = false;
-        let c = ckts.get(die);
+        let c: &Circuit = ckts[die].borrow();
         for (ei, elem) in self.elems.iter_mut().enumerate() {
             match elem {
                 BatchElem::Resistor { g, .. } => {
@@ -412,7 +375,7 @@ impl BatchWorkspace {
                         let lanes_refs: Vec<&dyn NonlinearDevice> = self
                             .lane_die
                             .iter()
-                            .map(|&ld| match &ckts.get(ld).elements[ei] {
+                            .map(|&ld| match &ckts[ld].borrow().elements[ei] {
                                 Element::Nonlinear(dd) => dd.as_ref(),
                                 _ => unreachable!("validated topology"),
                             })
@@ -460,19 +423,25 @@ impl BatchWorkspace {
     /// Dispatches to the monomorphized assembly for the common lane
     /// counts; the dynamic body is the fallback (and the reference: each
     /// pair of arms performs bit-identical per-lane arithmetic).
-    fn assemble(&mut self, ckts: &Population, x: &[f64], t: &[f64], companions: &[(f64, f64)]) {
+    fn assemble<C: Borrow<Circuit>>(
+        &mut self,
+        ckts: &[C],
+        x: &[f64],
+        t: &[f64],
+        companions: &[(f64, f64)],
+    ) {
         match self.k {
-            1 => self.assemble_k::<1>(ckts, x, t, companions),
-            2 => self.assemble_k::<2>(ckts, x, t, companions),
-            3 => self.assemble_k::<3>(ckts, x, t, companions),
-            4 => self.assemble_k::<4>(ckts, x, t, companions),
-            5 => self.assemble_k::<5>(ckts, x, t, companions),
-            6 => self.assemble_k::<6>(ckts, x, t, companions),
-            7 => self.assemble_k::<7>(ckts, x, t, companions),
-            8 => self.assemble_k::<8>(ckts, x, t, companions),
-            16 => self.assemble_k::<16>(ckts, x, t, companions),
-            32 => self.assemble_k::<32>(ckts, x, t, companions),
-            64 => self.assemble_k::<64>(ckts, x, t, companions),
+            1 => self.assemble_k::<1, C>(ckts, x, t, companions),
+            2 => self.assemble_k::<2, C>(ckts, x, t, companions),
+            3 => self.assemble_k::<3, C>(ckts, x, t, companions),
+            4 => self.assemble_k::<4, C>(ckts, x, t, companions),
+            5 => self.assemble_k::<5, C>(ckts, x, t, companions),
+            6 => self.assemble_k::<6, C>(ckts, x, t, companions),
+            7 => self.assemble_k::<7, C>(ckts, x, t, companions),
+            8 => self.assemble_k::<8, C>(ckts, x, t, companions),
+            16 => self.assemble_k::<16, C>(ckts, x, t, companions),
+            32 => self.assemble_k::<32, C>(ckts, x, t, companions),
+            64 => self.assemble_k::<64, C>(ckts, x, t, companions),
             _ => self.assemble_dyn(ckts, x, t, companions),
         }
     }
@@ -482,9 +451,9 @@ impl BatchWorkspace {
     /// stamp order and per-lane arithmetic to
     /// [`BatchWorkspace::assemble_dyn`] on every arm, so the dispatch
     /// decision never changes a transient.
-    fn assemble_k<const K: usize>(
+    fn assemble_k<const K: usize, C: Borrow<Circuit>>(
         &mut self,
-        ckts: &Population,
+        ckts: &[C],
         x: &[f64],
         t: &[f64],
         companions: &[(f64, f64)],
@@ -496,41 +465,41 @@ impl BatchWorkspace {
             let level = simd::level();
             if K.is_multiple_of(8) && level == Level::Avx512 {
                 // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.assemble_avx512::<K>(ckts, x, t, companions) };
+                return unsafe { self.assemble_avx512::<K, C>(ckts, x, t, companions) };
             }
             if K.is_multiple_of(4) && level >= Level::Avx2 {
                 // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.assemble_avx2::<K>(ckts, x, t, companions) };
+                return unsafe { self.assemble_avx2::<K, C>(ckts, x, t, companions) };
             }
         }
         // SAFETY: the scalar arm has no ISA requirements.
-        unsafe { self.assemble_body::<K, ScalarLanes>(ckts, x, t, companions) }
+        unsafe { self.assemble_body::<K, ScalarLanes, C>(ckts, x, t, companions) }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    fn assemble_avx512<const K: usize>(
+    fn assemble_avx512<const K: usize, C: Borrow<Circuit>>(
         &mut self,
-        ckts: &Population,
+        ckts: &[C],
         x: &[f64],
         t: &[f64],
         companions: &[(f64, f64)],
     ) {
         // SAFETY: caller verified avx512f; we are in a matching region.
-        unsafe { self.assemble_body::<K, rotsv_num::simd::Avx512Lanes>(ckts, x, t, companions) }
+        unsafe { self.assemble_body::<K, rotsv_num::simd::Avx512Lanes, C>(ckts, x, t, companions) }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn assemble_avx2<const K: usize>(
+    fn assemble_avx2<const K: usize, C: Borrow<Circuit>>(
         &mut self,
-        ckts: &Population,
+        ckts: &[C],
         x: &[f64],
         t: &[f64],
         companions: &[(f64, f64)],
     ) {
         // SAFETY: caller verified avx2; we are in a matching region.
-        unsafe { self.assemble_body::<K, rotsv_num::simd::Avx2Lanes>(ckts, x, t, companions) }
+        unsafe { self.assemble_body::<K, rotsv_num::simd::Avx2Lanes, C>(ckts, x, t, companions) }
     }
 
     /// The assembly sweep, generic over the ISA token. Each lane is
@@ -547,9 +516,9 @@ impl BatchWorkspace {
     // the iterator forms clippy suggests obscure that symmetry.
     #[allow(clippy::needless_range_loop)]
     #[inline(always)]
-    unsafe fn assemble_body<const K: usize, S: Simd>(
+    unsafe fn assemble_body<const K: usize, S: Simd, C: Borrow<Circuit>>(
         &mut self,
-        ckts: &Population,
+        ckts: &[C],
         x: &[f64],
         t: &[f64],
         companions: &[(f64, f64)],
@@ -647,7 +616,7 @@ impl BatchWorkspace {
                 }
                 BatchElem::Device(di) => {
                     // SAFETY: propagated from the caller.
-                    cursor = unsafe { self.stamp_device_body::<K, S>(ckts, ei, *di, x, cursor) };
+                    cursor = unsafe { self.stamp_device_body::<K, S, C>(ckts, ei, *di, x, cursor) };
                 }
             }
         }
@@ -711,9 +680,9 @@ impl BatchWorkspace {
     // the iterator forms clippy suggests obscure that symmetry.
     #[allow(clippy::needless_range_loop)]
     #[inline(always)]
-    unsafe fn stamp_device_body<const K: usize, S: Simd>(
+    unsafe fn stamp_device_body<const K: usize, S: Simd, C: Borrow<Circuit>>(
         &mut self,
-        ckts: &Population,
+        ckts: &[C],
         elem_idx: usize,
         dev_idx: usize,
         x: &[f64],
@@ -734,7 +703,8 @@ impl BatchWorkspace {
             DeviceKind::PerLane(stamp) => {
                 let mut v = vec![0.0; nt];
                 for lane in 0..K {
-                    let Element::Nonlinear(d) = &ckts.get(self.lane_die[lane]).elements[elem_idx]
+                    let Element::Nonlinear(d) =
+                        &ckts[self.lane_die[lane]].borrow().elements[elem_idx]
                     else {
                         unreachable!("validated topology");
                     };
@@ -795,7 +765,13 @@ impl BatchWorkspace {
     // Lane loops deliberately index several parallel arrays by `lane`;
     // the iterator forms clippy suggests obscure that symmetry.
     #[allow(clippy::needless_range_loop)]
-    fn assemble_dyn(&mut self, ckts: &Population, x: &[f64], t: &[f64], companions: &[(f64, f64)]) {
+    fn assemble_dyn<C: Borrow<Circuit>>(
+        &mut self,
+        ckts: &[C],
+        x: &[f64],
+        t: &[f64],
+        companions: &[(f64, f64)],
+    ) {
         let k = self.k;
         self.values.fill(0.0);
         self.b.fill(0.0);
@@ -888,9 +864,9 @@ impl BatchWorkspace {
     // Lane loops deliberately index several parallel arrays by `lane`;
     // the iterator forms clippy suggests obscure that symmetry.
     #[allow(clippy::needless_range_loop)]
-    fn stamp_device(
+    fn stamp_device<C: Borrow<Circuit>>(
         &mut self,
-        ckts: &Population,
+        ckts: &[C],
         elem_idx: usize,
         dev_idx: usize,
         x: &[f64],
@@ -913,7 +889,8 @@ impl BatchWorkspace {
             DeviceKind::PerLane(stamp) => {
                 let mut v = vec![0.0; nt];
                 for lane in 0..k {
-                    let Element::Nonlinear(d) = &ckts.get(self.lane_die[lane]).elements[elem_idx]
+                    let Element::Nonlinear(d) =
+                        &ckts[self.lane_die[lane]].borrow().elements[elem_idx]
                     else {
                         unreachable!("validated topology");
                     };
@@ -965,10 +942,13 @@ impl BatchWorkspace {
     /// lane composition), unchanged lanes keep their factors (the scalar
     /// skip-if-unchanged, applied per lane).
     ///
-    /// Counter attribution keeps population sums meaningful: symbolic
-    /// analyses are charged to die 0 only (the queue performs
-    /// O(topologies) analyses, not O(dies)), while factorizations are
-    /// charged to the die seated in each factored lane.
+    /// Counter attribution keeps population sums meaningful: a symbolic
+    /// analysis is charged once, to the die seated in the first lane
+    /// factored that round (die 0 for the session's first analysis, so
+    /// a session performs O(topologies) analyses, not O(dies), and a
+    /// still-resident die always receives the charge), while
+    /// factorizations are charged to the die seated in each factored
+    /// lane.
     ///
     /// If pivot drift in a factored lane forces a shared re-analysis,
     /// every other lane's factors die with the old pivot order; the busy
@@ -1005,7 +985,7 @@ impl BatchWorkspace {
             // cache) using the first wanted lane's values as the probe.
             // Every lane shares the pattern, so the pivot order transfers;
             // a lane it fails for triggers the masked re-analysis below.
-            let probe_lane = (0..k).find(|&l| self.refactor_mask[l]).unwrap_or(0);
+            let probe_lane = first_masked(&self.refactor_mask);
             let mut probe = self.pattern.clone();
             probe.zero_values();
             for s in 0..nnz {
@@ -1023,7 +1003,7 @@ impl BatchWorkspace {
                     1,
                 ),
             };
-            self.stats[0].symbolic_analyses += analyses;
+            self.stats[self.lane_die[probe_lane]].symbolic_analyses += analyses;
             self.lu = Some(BatchedLu::new(sym, k));
         }
         let mut rounds = 0u32;
@@ -1038,12 +1018,12 @@ impl BatchWorkspace {
             let (analyses, invalidated) = lu
                 .refactor_masked(&self.pattern, &self.values, &self.refactor_mask)
                 .map_err(map_err)?;
-            self.stats[0].symbolic_analyses += analyses;
+            // Pivot drift forced a shared re-analysis; attribute it to
+            // the first lane factored this round (the one whose values
+            // broke the old order, or its successor).
+            let culprit = first_masked(&self.refactor_mask);
+            self.stats[self.lane_die[culprit]].symbolic_analyses += analyses;
             if analyses > 0 && rotsv_obs::events_enabled() {
-                // Pivot drift forced a shared re-analysis; attribute the
-                // instant to the first lane factored this round (the one
-                // whose values broke the old order, or its successor).
-                let culprit = (0..k).find(|&l| self.refactor_mask[l]).unwrap_or(0);
                 rotsv_obs::record_event(
                     rotsv_obs::EventKind::Reanalysis,
                     culprit as u32,
@@ -1083,6 +1063,11 @@ impl BatchWorkspace {
             }
         }
     }
+}
+
+/// The first lane set in `mask` (lane 0 when none is).
+fn first_masked(mask: &[bool]) -> usize {
+    mask.iter().position(|&m| m).unwrap_or(0)
 }
 
 /// Per-lane capacitor history (voltage across and branch current).
@@ -1159,9 +1144,11 @@ fn lane_voltage(x: &[f64], k: usize, node: NodeId, lane: usize) -> f64 {
 
 const MAX_HALVINGS: u32 = 12;
 
-/// The asynchronous K-lane engine streaming an N-die queue.
-struct QueueEngine<'a> {
-    ckts: Population<'a>,
+/// The asynchronous K-lane engine streaming a die queue that grows as
+/// its source yields circuits.
+struct QueueEngine<'a, C> {
+    /// Every die seated so far or still queued, in admission order.
+    ckts: Vec<C>,
     spec: &'a TransientSpec,
     ws: BatchWorkspace,
     k: usize,
@@ -1193,26 +1180,30 @@ struct QueueEngine<'a> {
     steps_taken: Vec<usize>,
     /// Next queued die (population index).
     next_die: usize,
-    /// Recorded-node template, kept so streamed dies admitted mid-run
-    /// get the same column layout as the initial population.
+    /// Recorded-node template, kept so dies admitted mid-run get the
+    /// same column layout as the initial population.
     record_nodes: Vec<NodeId>,
-    /// Per-lane seat instants; a streamed die's `wall_seconds` is its
-    /// lane-resident time (seat to retire).
+    /// Per-lane seat instants (a die's `wall_seconds` derives from its
+    /// lane-resident time).
     seat_at: Vec<Instant>,
-    /// Streaming source, pulled (non-blockingly) at lane retirement
-    /// once the initial population is exhausted.
-    source: Option<&'a mut dyn FnMut() -> Option<Arc<Circuit>>>,
-    /// Streaming sink: each die's result is delivered the moment it
-    /// retires, keeping recorded waveforms O(active lanes).
-    sink: Option<&'a mut dyn FnMut(usize, TransientResult)>,
-    /// Dies delivered through `sink`.
-    delivered: usize,
+    /// Pulled (non-blockingly) at lane retirement once the initial
+    /// population is exhausted.
+    source: &'a mut dyn FnMut() -> Option<C>,
+    /// Receives each die's result the moment it retires, keeping
+    /// recorded waveforms O(active lanes).
+    sink: &'a mut dyn FnMut(usize, TransientResult),
 }
 
-impl<'a> QueueEngine<'a> {
-    fn new(ckts: Population<'a>, k: usize, spec: &'a TransientSpec) -> Result<Self, SpiceError> {
+impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
+    fn new(
+        ckts: Vec<C>,
+        k: usize,
+        spec: &'a TransientSpec,
+        source: &'a mut dyn FnMut() -> Option<C>,
+        sink: &'a mut dyn FnMut(usize, TransientResult),
+    ) -> Result<Self, SpiceError> {
         let ws = {
-            let refs = ckts.refs();
+            let refs: Vec<&Circuit> = ckts.iter().map(Borrow::borrow).collect();
             BatchWorkspace::new(&refs, k)?
         };
         let n = ws.n;
@@ -1226,8 +1217,8 @@ impl<'a> QueueEngine<'a> {
             }
         }
 
-        let cap_nodes: Vec<(NodeId, NodeId)> = ckts
-            .get(0)
+        let c0: &Circuit = ckts[0].borrow();
+        let cap_nodes: Vec<(NodeId, NodeId)> = c0
             .elements
             .iter()
             .filter_map(|e| match e {
@@ -1238,7 +1229,7 @@ impl<'a> QueueEngine<'a> {
         let n_caps = cap_nodes.len();
 
         let record_nodes: Vec<NodeId> = if spec.record_nodes.is_empty() {
-            (0..ckts.get(0).node_count()).map(NodeId).collect()
+            (0..c0.node_count()).map(NodeId).collect()
         } else {
             let mut nodes = spec.record_nodes.clone();
             nodes.sort_unstable();
@@ -1302,9 +1293,8 @@ impl<'a> QueueEngine<'a> {
             next_die: 0,
             record_nodes,
             seat_at: vec![Instant::now(); k],
-            source: None,
-            sink: None,
-            delivered: 0,
+            source,
+            sink,
         })
     }
 
@@ -1336,7 +1326,7 @@ impl<'a> QueueEngine<'a> {
             self.x[i * k + lane] = self.x0[i];
             self.x_try[i * k + lane] = self.x0[i];
         }
-        let c = self.ckts.get(die);
+        let c: &Circuit = self.ckts[die].borrow();
         let mut ci = 0usize;
         for e in &c.elements {
             if let Element::Capacitor { farads: f, .. } = e {
@@ -1715,9 +1705,7 @@ impl<'a> QueueEngine<'a> {
                                     0.0,
                                 );
                             }
-                            if self.sink.is_some() {
-                                self.deliver(die, lane);
-                            }
+                            self.deliver(die, lane);
                             if let Some(incoming) = self.pull_next()? {
                                 if ring {
                                     rotsv_obs::record_event(
@@ -1739,7 +1727,7 @@ impl<'a> QueueEngine<'a> {
                         if adaptive.is_some() {
                             if ls.dt_try <= dt_min * (1.0 + 1e-9) {
                                 return Err(SpiceError::NoConvergence {
-                                    analysis: "transient_batch",
+                                    analysis: "transient_stream",
                                     time: ls.t_next,
                                     iterations: opts.max_iterations,
                                 });
@@ -1749,7 +1737,7 @@ impl<'a> QueueEngine<'a> {
                             ls.halvings += 1;
                             if ls.halvings > MAX_HALVINGS {
                                 return Err(SpiceError::NoConvergence {
-                                    analysis: "transient_batch",
+                                    analysis: "transient_stream",
                                     time: ls.t_next,
                                     iterations: opts.max_iterations,
                                 });
@@ -1780,105 +1768,67 @@ impl<'a> QueueEngine<'a> {
         Ok(())
     }
 
-    /// Hands a retired die's recorded waveforms to the streaming sink.
-    /// The per-die vectors are taken, not cloned, so a long-running
-    /// stream holds recorded data only for dies still in flight.
-    /// `wall_seconds` is the die's lane-resident time (seat to retire);
-    /// summing dies approximates `k ×` the stream's wall clock.
+    /// Hands a retired die's recorded waveforms to the sink — the only
+    /// way results leave the engine. The per-die vectors are taken, not
+    /// cloned, so a long-running session holds recorded data only for
+    /// dies still in flight. `wall_seconds` is the die's share of the
+    /// session: its lane-resident time (seat to retire) over the lane
+    /// count K, so the dies of a session sum to at most its wall clock.
     fn deliver(&mut self, die: usize, lane: usize) {
-        let time = std::mem::take(&mut self.time[die]);
-        let columns = std::mem::take(&mut self.columns[die]);
-        let current_columns = std::mem::take(&mut self.current_columns[die]);
         let mut stats = self.ws.stats[die];
-        stats.wall_seconds = self.seat_at[lane].elapsed().as_secs_f64();
+        stats.wall_seconds = self.seat_at[lane].elapsed().as_secs_f64() / self.k as f64;
         let res = TransientResult::from_parts(
-            time,
-            columns,
-            current_columns,
+            std::mem::take(&mut self.time[die]),
+            std::mem::take(&mut self.columns[die]),
+            std::mem::take(&mut self.current_columns[die]),
             self.stopped_early[die],
             self.steps_taken[die],
             stats,
         );
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink(die, res);
-        }
-        self.delivered += 1;
+        (self.sink)(die, res);
     }
 
     /// Picks the next die to seat: the remaining initial population
-    /// first, then (in streaming mode) one non-blocking pull from the
-    /// source. A sourced circuit is topology-checked against die 0 and
-    /// given freshly grown per-die recording storage.
+    /// first, then one non-blocking pull from the source. A sourced
+    /// circuit is topology-checked against die 0 and given freshly grown
+    /// per-die recording storage.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::InvalidCircuit`] when the source yields a
     /// circuit whose topology differs from the population's.
     fn pull_next(&mut self) -> Result<Option<usize>, SpiceError> {
-        if self.next_die < self.ckts.len() {
-            let die = self.next_die;
-            self.next_die += 1;
-            return Ok(Some(die));
+        if self.next_die == self.ckts.len() {
+            let Some(ckt) = (self.source)() else {
+                return Ok(None);
+            };
+            validate_topology(&[self.ckts[0].borrow(), ckt.borrow()])?;
+            self.ckts.push(ckt);
+            self.time.push(Vec::new());
+            self.columns.push(
+                self.record_nodes
+                    .iter()
+                    .map(|&nd| (nd, Vec::new()))
+                    .collect(),
+            );
+            self.current_columns.push(
+                self.spec
+                    .record_currents
+                    .iter()
+                    .map(|vs| (vs.0, Vec::new()))
+                    .collect(),
+            );
+            self.stopped_early.push(false);
+            self.steps_taken.push(0);
+            self.ws.stats.push(SolverStats::default());
         }
-        let Some(source) = self.source.as_deref_mut() else {
-            return Ok(None);
-        };
-        let Some(ckt) = source() else {
-            return Ok(None);
-        };
-        validate_topology(&[self.ckts.get(0), ckt.as_ref()])?;
-        self.ckts.push(ckt);
-        self.time.push(Vec::new());
-        self.columns.push(
-            self.record_nodes
-                .iter()
-                .map(|&nd| (nd, Vec::new()))
-                .collect(),
-        );
-        self.current_columns.push(
-            self.spec
-                .record_currents
-                .iter()
-                .map(|vs| (vs.0, Vec::new()))
-                .collect(),
-        );
-        self.stopped_early.push(false);
-        self.steps_taken.push(0);
-        self.ws.stats.push(SolverStats::default());
         let die = self.next_die;
         self.next_die += 1;
         Ok(Some(die))
     }
-
-    /// Consumes the engine into per-die results, in population order.
-    fn into_results(self, wall: f64) -> Vec<TransientResult> {
-        let n_dies = self.ckts.len();
-        let mut out = Vec::with_capacity(n_dies);
-        for (die, ((time, columns), current_columns)) in self
-            .time
-            .into_iter()
-            .zip(self.columns)
-            .zip(self.current_columns)
-            .enumerate()
-        {
-            let mut stats = self.ws.stats[die];
-            // Wall time split equally per die: summing dies matches the
-            // whole queue's wall clock.
-            stats.wall_seconds = wall / n_dies as f64;
-            out.push(TransientResult::from_parts(
-                time,
-                columns,
-                current_columns,
-                self.stopped_early[die],
-                self.steps_taken[die],
-                stats,
-            ));
-        }
-        out
-    }
 }
 
-fn validate_spec(ckts: &[&Circuit], spec: &TransientSpec) -> Result<(), SpiceError> {
+fn validate_spec(c0: &Circuit, spec: &TransientSpec) -> Result<(), SpiceError> {
     if spec.dt <= 0.0 || !spec.dt.is_finite() {
         return Err(SpiceError::InvalidSpec(format!(
             "time step must be positive, got {}",
@@ -1911,7 +1861,7 @@ fn validate_spec(ckts: &[&Circuit], spec: &TransientSpec) -> Result<(), SpiceErr
         }
     }
     for &(node, _) in &spec.initial_voltages {
-        if node.index() >= ckts[0].node_count() {
+        if node.index() >= c0.node_count() {
             return Err(SpiceError::InvalidCircuit(format!(
                 "initial condition on unknown node {node}"
             )));
@@ -1920,62 +1870,78 @@ fn validate_spec(ckts: &[&Circuit], spec: &TransientSpec) -> Result<(), SpiceErr
     Ok(())
 }
 
-/// Runs one transient analysis per circuit with all of them sharing one
-/// K-wide SIMD workspace, `K == ckts.len()` (no refill queue). Each die's
-/// trajectory follows the scalar stepping policies independently and is
-/// bit-identical to any other lane composition containing it — see
-/// [`transient_queue`] for the streaming form.
+/// Runs one transient per circuit through `lanes` SIMD lanes sharing one
+/// workspace, refilling each lane mid-transient: when a lane's die
+/// finishes (stop condition or `t_stop`), the next die is seated into it
+/// immediately — first the rest of `initial`, then circuits pulled from
+/// `source` — so lanes stay busy until the queue drains. This is the one
+/// entry into the lane engine: a fixed population is a `source` that
+/// yields nothing, and a resident screening server's continuous batching
+/// is a `source` popping its admission queue.
 ///
-/// All lanes share `spec` (grid, stop condition, recorded nodes); lanes
-/// differ through their circuits' element values. Per-lane
-/// [`SolverStats`] attribute symbolic analyses to lane 0 only and split
-/// wall time equally, so summing lanes matches the batch totals.
+/// `C` is anything that borrows a [`Circuit`] — `&Circuit` for a
+/// population the caller keeps, `Arc<Circuit>` or an owning wrapper for
+/// circuits handed over to the engine — so no circuit is cloned.
+///
+/// `source` is polled **non-blockingly** at each retirement (and
+/// up-front to top the initial batch up to `lanes`); returning `None`
+/// leaves the lane idle for the rest of the session — a server should
+/// start a new session when more work arrives after a drain. `sink`
+/// receives `(die_index, result)` in retirement order, not population
+/// order; indices count from 0 over `initial`, then each sourced circuit
+/// in pull order. Recorded waveforms move into the sink as dies retire,
+/// so memory stays proportional to the active lanes, not the session
+/// length.
+///
+/// All dies share `spec` (grid, stop condition, recorded nodes); they
+/// differ through their circuits' element values. Every stepping
+/// decision is per-lane, so each die's trajectory and solver counters
+/// are **bit-identical** at any lane count, admission order or lane
+/// assignment — refill is pure scheduling (see the module docs on
+/// composition independence). Per-die [`SolverStats`] charge each
+/// symbolic analysis to one die, and `wall_seconds` is the die's
+/// lane-resident time divided by K, so summing a session's dies matches
+/// its totals and never exceeds its wall clock.
+///
+/// Returns the number of dies completed and delivered to `sink`.
 ///
 /// # Errors
 ///
-/// Returns [`SpiceError::InvalidCircuit`] when the lanes' topologies
-/// differ, [`SpiceError::InvalidSpec`] for a bad grid or a
-/// `start_from_dcop` request (the batched engine starts from
+/// Returns [`SpiceError::InvalidCircuit`] when the dies' topologies
+/// differ (including a sourced circuit that differs from the first
+/// die), [`SpiceError::InvalidSpec`] for a bad grid or a
+/// `start_from_dcop` request (the lane engine starts from
 /// `initial_voltages` only — ring measurements never use a dcop seed),
-/// and the scalar engine's convergence/singularity errors otherwise.
-pub fn transient_batch(
-    ckts: &[&Circuit],
-    spec: &TransientSpec,
-) -> Result<Vec<TransientResult>, SpiceError> {
-    transient_queue(ckts, ckts.len(), spec)
-}
-
-/// Streams the `ckts` die queue through `lanes` SIMD lanes with
-/// mid-transient refill: when a lane's die finishes (stop condition or
-/// `t_stop`), the next queued die is seated into the lane immediately, so
-/// lanes stay busy until the queue drains. Results are returned in
-/// population order.
-///
-/// Because every stepping decision is per-lane, the per-die results are
-/// **bit-identical** to [`transient_batch`] over the same dies at any
-/// lane count — refill and lane assignment are pure scheduling.
-///
-/// # Errors
-///
-/// As [`transient_batch`]; an unrecoverable lane (Newton failure at the
-/// minimum step, singular system) aborts the whole queue, matching the
-/// scalar engine's per-die error behavior.
-pub fn transient_queue(
-    ckts: &[&Circuit],
+/// and the scalar engine's convergence/singularity errors otherwise; an
+/// unrecoverable lane aborts the whole session. With an empty `initial`
+/// the source is polled once; if it yields nothing, the call returns
+/// `Ok(0)`.
+pub fn transient_stream<C: Borrow<Circuit>>(
+    initial: Vec<C>,
     lanes: usize,
     spec: &TransientSpec,
-) -> Result<Vec<TransientResult>, SpiceError> {
-    if ckts.is_empty() {
-        return Ok(Vec::new());
+    source: &mut dyn FnMut() -> Option<C>,
+    sink: &mut dyn FnMut(usize, TransientResult),
+) -> Result<usize, SpiceError> {
+    let mut pop = initial;
+    // Top the batch up to the lane count before construction so the
+    // engine starts as full as the queue allows.
+    while pop.len() < lanes.max(1) {
+        match source() {
+            Some(ckt) => pop.push(ckt),
+            None => break,
+        }
     }
-    validate_spec(ckts, spec)?;
-    let k = lanes.clamp(1, ckts.len());
-    let span = rotsv_obs::span!("transient_batch", "k" = k);
+    if pop.is_empty() {
+        return Ok(0);
+    }
+    validate_spec(pop[0].borrow(), spec)?;
+    let k = lanes.clamp(1, pop.len());
+    let span = rotsv_obs::span!("transient_stream", "k" = k);
     let _ = &span;
-    let mut eng = QueueEngine::new(Population::Borrowed(ckts), k, spec)?;
-    let wall_start = Instant::now();
     let ring = rotsv_obs::events_enabled();
     let dropped_before = ring.then(|| rotsv_obs::event_ring().dropped());
+    let mut eng = QueueEngine::new(pop, k, spec, source, sink)?;
     for lane in 0..k {
         if ring {
             rotsv_obs::record_event(
@@ -1989,7 +1955,6 @@ pub fn transient_queue(
     }
     eng.next_die = k;
     eng.run()?;
-    let wall = wall_start.elapsed().as_secs_f64();
     // First-class drop accounting: anything the ring shed during this
     // run surfaces as a counter the agreement suite asserts to be zero.
     if let Some(before) = dropped_before {
@@ -1998,95 +1963,9 @@ pub fn transient_queue(
             rotsv_obs::metrics::counter("mc.ring_dropped_events").add(delta);
         }
     }
-    Ok(eng.into_results(wall))
-}
-
-/// Open-ended streaming form of [`transient_queue`]: lanes refill from
-/// `source` instead of a fixed population, and each die's result is
-/// handed to `sink` the moment its lane retires.
-///
-/// This is the continuous-batching seam a resident screening server
-/// builds on — retired lanes pull the next admitted die mid-transient,
-/// so the engine never drains between requests that share a topology.
-/// `source` is polled **non-blockingly** at each retirement (and once
-/// up-front to top the initial batch up to `lanes`); returning `None`
-/// leaves the lane idle for the rest of the session — a server source
-/// should pop from its admission queue without waiting, and start a new
-/// engine session when more work arrives after a drain. `sink` receives
-/// `(die_index, result)` in retirement order (not population order);
-/// indices count from 0 over `initial` then each sourced circuit in
-/// pull order. Recorded waveforms are moved into the sink as dies
-/// retire, so memory stays proportional to the active lanes, not the
-/// session length. Each result's `wall_seconds` is the die's
-/// lane-resident time.
-///
-/// Per-die trajectories are bit-identical to [`transient_batch`] /
-/// [`transient_queue`] over the same circuits: every stepping decision
-/// is per-lane, so admission order and lane assignment are pure
-/// scheduling (see the module docs on composition independence).
-///
-/// Returns the number of dies completed and delivered to `sink`.
-///
-/// # Errors
-///
-/// As [`transient_queue`], plus [`SpiceError::InvalidCircuit`] when
-/// `source` yields a circuit whose topology differs from the first
-/// die's. With an empty `initial` the source is polled once; if it
-/// yields nothing, the call returns `Ok(0)`.
-pub fn transient_stream(
-    initial: Vec<Arc<Circuit>>,
-    lanes: usize,
-    spec: &TransientSpec,
-    source: &mut dyn FnMut() -> Option<Arc<Circuit>>,
-    sink: &mut dyn FnMut(usize, TransientResult),
-) -> Result<usize, SpiceError> {
-    let mut pop = initial;
-    if pop.is_empty() {
-        match source() {
-            Some(ckt) => pop.push(ckt),
-            None => return Ok(0),
-        }
-    }
-    // Top the batch up to the lane count before construction so the
-    // engine starts as full as the queue allows.
-    while pop.len() < lanes {
-        match source() {
-            Some(ckt) => pop.push(ckt),
-            None => break,
-        }
-    }
-    {
-        let refs: Vec<&Circuit> = pop.iter().map(|c| c.as_ref()).collect();
-        validate_spec(&refs, spec)?;
-    }
-    let k = lanes.clamp(1, pop.len());
-    let span = rotsv_obs::span!("transient_stream", "k" = k);
-    let _ = &span;
-    let ring = rotsv_obs::events_enabled();
-    let dropped_before = ring.then(|| rotsv_obs::event_ring().dropped());
-    let mut eng = QueueEngine::new(Population::Streamed(pop), k, spec)?;
-    eng.source = Some(source);
-    eng.sink = Some(sink);
-    for lane in 0..k {
-        if ring {
-            rotsv_obs::record_event(
-                rotsv_obs::EventKind::LaneSeat,
-                lane as u32,
-                lane as u32,
-                0.0,
-            );
-        }
-        eng.seat(lane, lane);
-    }
-    eng.next_die = k;
-    eng.run()?;
-    if let Some(before) = dropped_before {
-        if rotsv_obs::metrics_enabled() {
-            let delta = rotsv_obs::event_ring().dropped().saturating_sub(before);
-            rotsv_obs::metrics::counter("mc.ring_dropped_events").add(delta);
-        }
-    }
-    Ok(eng.delivered)
+    // Every die pulled into the session was seated and, with the run
+    // complete, retired through the sink.
+    Ok(eng.ckts.len())
 }
 
 #[cfg(test)]
@@ -2094,6 +1973,30 @@ mod tests {
     use super::*;
     use crate::source::SourceWaveform;
     use crate::transient::TransientSpec;
+
+    /// Streams a fixed population through `lanes` lanes (a source that
+    /// yields nothing) and collects the results into population order.
+    fn run_queue(
+        ckts: &[&Circuit],
+        lanes: usize,
+        spec: &TransientSpec,
+    ) -> Result<Vec<TransientResult>, SpiceError> {
+        let mut out: Vec<Option<TransientResult>> = (0..ckts.len()).map(|_| None).collect();
+        let mut sink = |die: usize, res: TransientResult| out[die] = Some(res);
+        transient_stream(ckts.to_vec(), lanes, spec, &mut || None, &mut sink)?;
+        Ok(out
+            .into_iter()
+            .map(|r| r.expect("every die delivered"))
+            .collect())
+    }
+
+    /// All dies at once: one lane per die, no refill.
+    fn run_batch(
+        ckts: &[&Circuit],
+        spec: &TransientSpec,
+    ) -> Result<Vec<TransientResult>, SpiceError> {
+        run_queue(ckts, ckts.len(), spec)
+    }
 
     fn rc_circuit(r: f64, c: f64) -> (Circuit, NodeId) {
         let mut ckt = Circuit::new();
@@ -2113,7 +2016,7 @@ mod tests {
         let built: Vec<(Circuit, NodeId)> = lanes.iter().map(|&(r, c)| rc_circuit(r, c)).collect();
         let ckts: Vec<&Circuit> = built.iter().map(|(c, _)| c).collect();
         let spec = TransientSpec::new(3e-6, 2e-9).record(&[built[0].1]);
-        let batched = transient_batch(&ckts, &spec).unwrap();
+        let batched = run_batch(&ckts, &spec).unwrap();
         assert_eq!(batched.len(), 3);
         for ((ckt, vout), res) in built.iter().zip(&batched) {
             let scalar = ckt.transient(&spec).unwrap();
@@ -2135,7 +2038,7 @@ mod tests {
         let spec = TransientSpec::new(3e-6, 2e-9)
             .record(&[vout])
             .step_control(StepControl::adaptive());
-        let batched = transient_batch(&ckts, &spec).unwrap();
+        let batched = run_batch(&ckts, &spec).unwrap();
         let scalar = ckt.transient(&spec).unwrap();
         for res in &batched {
             let wb = res.waveform(vout);
@@ -2158,7 +2061,7 @@ mod tests {
         let spec = TransientSpec::new(3e-6, 2e-9)
             .record(&[vout])
             .stop_after_rising(vout, 0.5, 1);
-        let res = transient_batch(&ckts, &spec).unwrap();
+        let res = run_batch(&ckts, &spec).unwrap();
         assert!(res[0].stopped_early());
         assert!(res[1].stopped_early());
         assert!(
@@ -2177,14 +2080,14 @@ mod tests {
         let mut b = Circuit::new();
         let n1 = b.node("in");
         b.add_resistor(n1, Circuit::GROUND, 1e3);
-        let err = transient_batch(&[&a, &b], &TransientSpec::new(1e-6, 1e-9)).unwrap_err();
+        let err = run_batch(&[&a, &b], &TransientSpec::new(1e-6, 1e-9)).unwrap_err();
         assert!(matches!(err, SpiceError::InvalidCircuit(_)));
     }
 
     #[test]
     fn dcop_start_is_rejected() {
         let (a, _) = rc_circuit(1e3, 1e-9);
-        let err = transient_batch(&[&a], &TransientSpec::new(1e-6, 1e-9).from_dcop()).unwrap_err();
+        let err = run_batch(&[&a], &TransientSpec::new(1e-6, 1e-9).from_dcop()).unwrap_err();
         assert!(matches!(err, SpiceError::InvalidSpec(_)));
     }
 
@@ -2192,7 +2095,7 @@ mod tests {
     fn batch_shares_one_symbolic_analysis() {
         let built = [rc_circuit(1e3, 1e-9), rc_circuit(1.1e3, 1e-9)];
         let ckts: Vec<&Circuit> = built.iter().map(|(c, _)| c).collect();
-        let res = transient_batch(&ckts, &TransientSpec::new(1e-7, 1e-9)).unwrap();
+        let res = run_batch(&ckts, &TransientSpec::new(1e-7, 1e-9)).unwrap();
         let analyses: u64 = res.iter().map(|r| r.stats().symbolic_analyses).sum();
         assert_eq!(analyses, 1, "one analysis for the whole batch");
         assert!(res[1].stats().factorizations > 0);
@@ -2212,10 +2115,10 @@ mod tests {
             .record(&[vout])
             .step_control(StepControl::adaptive())
             .stop_after_rising(vout, 0.5, 1);
-        let queued = transient_queue(&ckts, 2, &spec).unwrap();
-        let full = transient_batch(&ckts, &spec).unwrap();
+        let queued = run_queue(&ckts, 2, &spec).unwrap();
+        let full = run_batch(&ckts, &spec).unwrap();
         for (die, (ckt, _)) in built.iter().enumerate() {
-            let solo = transient_batch(&[ckt], &spec).unwrap().remove(0);
+            let solo = run_batch(&[ckt], &spec).unwrap().remove(0);
             for other in [&queued[die], &full[die]] {
                 assert_eq!(solo.time(), other.time(), "die {die}: time grid diverged");
                 assert_eq!(
@@ -2249,7 +2152,7 @@ mod tests {
             .record(&[vout])
             .step_control(StepControl::adaptive())
             .stop_after_rising(vout, 0.5, 1);
-        let queued = transient_queue(&ckts, 2, &spec).unwrap();
+        let queued = run_queue(&ckts, 2, &spec).unwrap();
 
         // Start with one die seated; feed the rest one at a time from
         // the source, exactly as a server admission queue would.
@@ -2322,15 +2225,38 @@ mod tests {
         let spec = TransientSpec::new(3e-6, 2e-9)
             .record(&[vout])
             .stop_after_rising(vout, 0.5, 1);
-        let queued = transient_queue(&ckts, 2, &spec).unwrap();
+        let queued = run_queue(&ckts, 2, &spec).unwrap();
         assert_eq!(queued.len(), 4);
         for (die, (ckt, _)) in built.iter().enumerate() {
-            let solo = transient_batch(&[ckt], &spec).unwrap().remove(0);
+            let solo = run_batch(&[ckt], &spec).unwrap().remove(0);
             assert_eq!(
                 solo.time(),
                 queued[die].time(),
                 "die {die} not in queue order"
             );
         }
+    }
+
+    /// A die's `wall_seconds` is its share of the session (lane-resident
+    /// time over K), so the dies of one session sum to no more than the
+    /// session's own wall clock rather than to about K times it.
+    #[test]
+    fn streamed_wall_seconds_sum_to_the_session_wall() {
+        let rs = [1e3, 1.2e3, 0.8e3, 1.5e3, 0.9e3, 1.1e3, 1.3e3, 0.7e3];
+        let built: Vec<(Circuit, NodeId)> = rs.iter().map(|&r| rc_circuit(r, 1e-9)).collect();
+        let ckts: Vec<&Circuit> = built.iter().map(|(c, _)| c).collect();
+        let vout = built[0].1;
+        let spec = TransientSpec::new(3e-6, 2e-9)
+            .record(&[vout])
+            .step_control(StepControl::adaptive());
+        let start = Instant::now();
+        let results = run_queue(&ckts, 4, &spec).unwrap();
+        let session = start.elapsed().as_secs_f64();
+        let summed: f64 = results.iter().map(|r| r.stats().wall_seconds).sum();
+        assert!(summed > 0.0);
+        assert!(
+            summed <= 1.05 * session,
+            "per-die wall {summed} s exceeds the session's {session} s"
+        );
     }
 }

@@ -54,7 +54,7 @@ pub mod source;
 pub mod transient;
 pub mod waveform;
 
-pub use batch::{transient_batch, transient_queue, transient_stream};
+pub use batch::transient_stream;
 pub use circuit::{Circuit, VSourceId};
 pub use dcop::{DcOpSpec, DcSolution};
 pub use dcsweep::DcSweepResult;

@@ -113,7 +113,7 @@ fn stuck_lane_retirement_leaves_other_lanes_intact() {
         .map(|c| RingOscillator::build(c, &mut Nominal))
         .collect();
     let refs: Vec<&RingOscillator> = ros.iter().collect();
-    let batched = RingOscillator::measure_batch_with_stats(&refs, &opts).unwrap();
+    let batched = RingOscillator::measure_queue_with_stats(&refs, refs.len(), &opts).unwrap();
 
     // Lane 0: strong leakage — stuck, exactly as the scalar run says.
     let (stuck_outcome, _) = &batched[0];
@@ -172,7 +172,7 @@ fn refill_with_stuck_lane_is_bit_identical_to_solo_runs() {
         // Bit-identity is an engine property: the solo reference is the
         // same engine at k = 1 (the scalar engine assembles in a
         // different association order and agrees only to ~1e-15).
-        let solo = &RingOscillator::measure_batch_with_stats(&[ro], &opts).unwrap()[0].0;
+        let solo = &RingOscillator::measure_queue_with_stats(&[ro], 1, &opts).unwrap()[0].0;
         assert_eq!(
             solo, outcome,
             "ring {i}: queued outcome must be bit-identical to its solo k=1 run"
